@@ -18,12 +18,12 @@
 //! (`parlayann::beam`), parameterized by an [`AdcScorer`]. Scoring a whole
 //! out-neighborhood per call is what lets the 4-bit scorer gather
 //! candidates into 32-point groups and scan them with one `vpshufb` per
-//! subspace pair. `search_batch_blocked` is overridden, so the indexes
-//! join the query-blocked [`QueryEngine`](parlayann::QueryEngine) path
-//! (`search_batch_in` defers to it at the engine's block size): queries in
-//! a block share one scratch — zero steady-state allocation — and
-//! single-query [`search`](AnnIndex::search) runs the identical routine,
-//! so batched and per-query results are bit-identical by construction.
+//! subspace pair. `search_batch_in` is overridden to run the batch in
+//! chunks of the [`QueryEngine`](parlayann::QueryEngine)'s grain: the
+//! queries of a chunk share one scratch — zero steady-state allocation —
+//! and single-query [`search`](AnnIndex::search) runs the identical
+//! routine, so batched and per-query results are bit-identical by
+//! construction.
 
 use crate::kmeans::to_f32_vec;
 use crate::pq::{PqParams, ProductQuantizer};
@@ -34,8 +34,8 @@ use parlayann::beam::{
 };
 use parlayann::visited::VisitedFilter;
 use parlayann::{
-    AnnIndex, BuildStats, FlatGraph, IndexKind, IndexStats, QueryParams, SearchStats, VamanaIndex,
-    VamanaParams,
+    AnnIndex, BuildStats, FlatGraph, IndexKind, IndexStats, QueryEngine, QueryParams, SearchStats,
+    VamanaIndex, VamanaParams,
 };
 use rayon::prelude::*;
 
@@ -324,11 +324,11 @@ fn adc_search_one<T: VectorElem, S: AdcScorer>(
     (scratch.frontier.clone(), stats)
 }
 
-/// The blocked batch entry shared by both compressed indexes: queries are
-/// split into engine-sized blocks processed in parallel; each block runs
-/// its queries through **one** reused [`AdcScratch`] (zero allocation per
+/// The batch entry shared by both compressed indexes: queries are split
+/// into chunks of `chunk` processed in parallel; each chunk runs its
+/// queries through **one** reused [`AdcScratch`] (zero allocation per
 /// query at steady state). Identical per-query routine to single `search`
-/// ⇒ bit-identical results at any block size.
+/// ⇒ bit-identical results at any chunk size.
 #[allow(clippy::too_many_arguments)]
 fn adc_search_batch<T: VectorElem, S: AdcScorer>(
     scorer: &S,
@@ -339,15 +339,14 @@ fn adc_search_batch<T: VectorElem, S: AdcScorer>(
     metric: Metric,
     rerank_factor: usize,
     params: &QueryParams,
-    block_size: usize,
+    chunk: usize,
 ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
     let nq = queries.len();
-    let bs = block_size.max(1);
-    let per_block: Vec<Vec<(Vec<(u32, f32)>, SearchStats)>> = (0..nq.div_ceil(bs))
+    let per_chunk: Vec<Vec<(Vec<(u32, f32)>, SearchStats)>> = (0..nq.div_ceil(chunk))
         .into_par_iter()
-        .map(|b| {
+        .map(|c| {
             let mut scratch = AdcScratch::<S>::default();
-            (b * bs..((b + 1) * bs).min(nq))
+            (c * chunk..((c + 1) * chunk).min(nq))
                 .map(|q| {
                     adc_search_one(
                         scorer,
@@ -364,7 +363,7 @@ fn adc_search_batch<T: VectorElem, S: AdcScorer>(
                 .collect()
         })
         .collect();
-    per_block.into_iter().flatten().collect()
+    per_chunk.into_iter().flatten().collect()
 }
 
 /// Build parameters for [`PqVamanaIndex`].
@@ -476,11 +475,11 @@ impl<T: VectorElem> AnnIndex<T> for PqVamanaIndex<T> {
         PqVamanaIndex::search(self, query, params)
     }
 
-    fn search_batch_blocked(
+    fn search_batch_in(
         &self,
         queries: &PointSet<T>,
         params: &QueryParams,
-        block_size: usize,
+        engine: &QueryEngine<T>,
     ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
         adc_search_batch(
             &self.scorer(),
@@ -491,7 +490,7 @@ impl<T: VectorElem> AnnIndex<T> for PqVamanaIndex<T> {
             self.metric,
             self.rerank_factor,
             params,
-            block_size,
+            engine.block_size(),
         )
     }
 
@@ -628,11 +627,11 @@ impl<T: VectorElem> AnnIndex<T> for Pq4VamanaIndex<T> {
         Pq4VamanaIndex::search(self, query, params)
     }
 
-    fn search_batch_blocked(
+    fn search_batch_in(
         &self,
         queries: &PointSet<T>,
         params: &QueryParams,
-        block_size: usize,
+        engine: &QueryEngine<T>,
     ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
         adc_search_batch(
             &self.scorer(),
@@ -643,7 +642,7 @@ impl<T: VectorElem> AnnIndex<T> for Pq4VamanaIndex<T> {
             self.metric,
             self.rerank_factor,
             params,
-            block_size,
+            engine.block_size(),
         )
     }
 
@@ -761,8 +760,8 @@ mod tests {
 
     #[test]
     fn batched_matches_single_query_bitwise() {
-        // The blocked path must be unobservable: same ids, same bits, any
-        // block size, for both the 8-bit and 4-bit scorers.
+        // The batch path must be unobservable: same ids, same bits, any
+        // engine grain, for both the 8-bit and 4-bit scorers.
         let data = bigann_like(1_000, 17, 74);
         let qp = QueryParams {
             beam: 32,
@@ -772,21 +771,17 @@ mod tests {
             let single: Vec<(Vec<(u32, f32)>, SearchStats)> = (0..data.queries.len())
                 .map(|q| index.search(data.queries.point(q), &qp))
                 .collect();
-            for bs in [1usize, 4, 16, 64] {
-                let batched = index.search_batch_blocked(&data.queries, &qp, bs);
+            for g in [1usize, 4, 16, 64] {
+                let batched =
+                    index.search_batch_in(&data.queries, &qp, &QueryEngine::with_block_size(g));
                 assert_eq!(batched.len(), single.len());
                 for (q, ((br, bstats), (sr, sstats))) in batched.iter().zip(&single).enumerate() {
-                    assert_eq!(br.len(), sr.len(), "{} bs={bs} q={q}", index.name());
+                    assert_eq!(br.len(), sr.len(), "{} g={g} q={q}", index.name());
                     for (a, b) in br.iter().zip(sr) {
-                        assert_eq!(a.0, b.0, "{} bs={bs} q={q}", index.name());
-                        assert_eq!(
-                            a.1.to_bits(),
-                            b.1.to_bits(),
-                            "{} bs={bs} q={q}",
-                            index.name()
-                        );
+                        assert_eq!(a.0, b.0, "{} g={g} q={q}", index.name());
+                        assert_eq!(a.1.to_bits(), b.1.to_bits(), "{} g={g} q={q}", index.name());
                     }
-                    assert_eq!(bstats, sstats, "{} bs={bs} q={q}", index.name());
+                    assert_eq!(bstats, sstats, "{} g={g} q={q}", index.name());
                 }
             }
         };

@@ -1,11 +1,11 @@
-//! `batch_qps` — single-query vs query-blocked search throughput.
+//! `batch_qps` — per-query search loop vs `search_batch` throughput.
 //!
 //! Builds a Vamana index, runs the same query set two ways — independent
-//! per-query searches (the pre-engine path, still the `AnnIndex`
-//! default) and the query-blocked engine at several block sizes — checks
-//! every configuration returns **bit-identical** results, prints a QPS
-//! table, and appends a machine-readable record to `BENCH_batch.json` so
-//! the perf trajectory accumulates across PRs.
+//! per-query `search` calls, batch-parallel, and the trait's
+//! `search_batch` (the query engine over pooled per-query scratch) —
+//! checks both return **bit-identical** results, prints a QPS table, and
+//! appends a machine-readable record to `BENCH_batch.json` so the perf
+//! trajectory accumulates across PRs.
 //!
 //! ```text
 //! cargo run --release -p parlayann_bench --bin batch_qps [n] [out.json]
@@ -17,7 +17,7 @@
 //! settings.
 
 use ann_data::bigann_like;
-use parlayann::{QueryEngine, QueryParams, SearchStats, Starts, VamanaIndex, VamanaParams};
+use parlayann::{AnnIndex, QueryParams, SearchStats, VamanaIndex, VamanaParams};
 use std::time::Instant;
 
 /// Order-sensitive digest over every query's `(id, dist-bits)` sequence.
@@ -68,62 +68,39 @@ fn main() {
     let queries = &data.queries;
     let nq = queries.len() as f64;
 
-    // Reference: independent per-query searches, batch-parallel (the
-    // AnnIndex default implementation).
-    let single: Vec<(Vec<(u32, f32)>, SearchStats)> =
-        parlay::tabulate(queries.len(), |q| index.search(queries.point(q), &params));
+    // Reference: independent per-query searches, batch-parallel.
+    let single_loop =
+        || parlay::tabulate(queries.len(), |q| index.search(queries.point(q), &params));
+    let single: Vec<(Vec<(u32, f32)>, SearchStats)> = single_loop();
     let fp = fingerprint(&single);
-    let secs_single = best_secs(3, || {
-        let r: Vec<(Vec<(u32, f32)>, SearchStats)> =
-            parlay::tabulate(queries.len(), |q| index.search(queries.point(q), &params));
-        assert_eq!(fingerprint(&r), fp);
-    });
+    let secs_single = best_secs(3, || assert_eq!(fingerprint(&single_loop()), fp));
     let qps_single = nq / secs_single;
 
-    // Query-blocked engine at several block sizes; every configuration
-    // must reproduce the single-query results bit for bit.
-    let block_sizes = [1usize, 4, 8, 16, 32, 64];
-    println!("\n  configuration      QPS      vs single");
-    println!("  single-query    {qps_single:>8.0}       1.00x");
-    let mut block_qps = Vec::new();
-    let mut identical = true;
-    for &bs in &block_sizes {
-        let engine: QueryEngine<u8> = QueryEngine::with_block_size(bs);
-        let run = || {
-            engine.search_batch(
-                queries,
-                index.points(),
-                index.metric,
-                &index.graph,
-                Starts::Shared(std::slice::from_ref(&index.start)),
-                &params,
-            )
-        };
-        let batched = run();
-        let ok = fingerprint(&batched) == fp
-            && batched
-                .iter()
-                .zip(&single)
-                .all(|((ra, sa), (rb, sb))| ra == rb && sa == sb);
-        identical &= ok;
-        let secs = best_secs(3, || {
-            let r = run();
-            assert_eq!(fingerprint(&r), fp);
-        });
-        let qps = nq / secs;
-        block_qps.push((bs, qps));
-        println!(
-            "  blocked (Q={bs:<3})  {qps:>8.0}       {:>4.2}x{}",
-            qps / qps_single,
-            if ok { "" } else { "   RESULTS DIVERGED" }
-        );
-    }
+    // The batch entry point must reproduce the per-query results bit for
+    // bit, stats included.
+    let batched = index.search_batch(queries, &params);
+    let identical = batched.len() == single.len()
+        && batched
+            .iter()
+            .zip(&single)
+            .all(|((ra, sa), (rb, sb))| ra == rb && sa == sb);
+    let secs_batch = best_secs(3, || {
+        assert_eq!(fingerprint(&index.search_batch(queries, &params)), fp)
+    });
+    let qps_batch = nq / secs_batch;
+
+    println!("\n  path               QPS      vs single");
+    println!("  per-query loop  {qps_single:>8.0}       1.00x");
+    println!(
+        "  search_batch    {qps_batch:>8.0}       {:>4.2}x",
+        qps_batch / qps_single
+    );
     println!(
         "\n  results: {} (fingerprint 0x{fp:016x})",
         if identical {
-            "bit-identical across all configurations"
+            "bit-identical across both paths"
         } else {
-            "MISMATCH — blocked search diverged from single-query"
+            "MISMATCH — search_batch diverged from per-query search"
         }
     );
 
@@ -135,8 +112,7 @@ fn main() {
         .uint("threads", threads as u64)
         .uint("beam", params.beam as u64)
         .float("qps_single", qps_single, 1)
-        .uint_list("block_sizes", block_sizes.iter().map(|&b| b as u64))
-        .float_list("qps_blocked", block_qps.iter().map(|&(_, q)| q), 1)
+        .float("qps_batch", qps_batch, 1)
         .str("fingerprint", &format!("0x{fp:016x}"))
         .bool("identical", identical)
         .finish();

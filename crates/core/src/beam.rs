@@ -301,8 +301,7 @@ pub fn beam_search_into<T: VectorElem, G: GraphView>(
 
 /// Admission thresholds for one expansion: the beam's worst member, and
 /// the (1+ε) cut around the current k-th nearest candidate. Shared between
-/// the single-query loop above, the query-blocked engine, and the
-/// baselines' ADC walk so the paths cannot drift.
+/// the loop above and the baselines' ADC walk so the paths cannot drift.
 #[inline]
 pub fn admission_bounds(frontier: &[(u32, f32)], params: &QueryParams) -> (f32, f32) {
     let worst = if frontier.len() == params.beam {

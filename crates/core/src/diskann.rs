@@ -232,27 +232,8 @@ impl<T: VectorElem + BinaryElem> AnnIndex<T> for VamanaIndex<T> {
         self.points.dim()
     }
 
-    /// Query-blocked batched search over the graph (bit-identical to
-    /// per-query [`VamanaIndex::search`]).
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        crate::query::search_batch_graph(
-            queries,
-            &self.points,
-            self.metric,
-            &self.graph,
-            Starts::Shared(std::slice::from_ref(&self.start)),
-            params,
-            block_size,
-        )
-    }
-
-    /// Serving path: run on the caller's long-lived engine so its scratch
-    /// pool persists across dispatched batches.
+    /// Batched search on the engine's pooled per-query scratch
+    /// (bit-identical to per-query search).
     fn search_batch_in(
         &self,
         queries: &PointSet<T>,

@@ -434,23 +434,7 @@ impl<T: VectorElem> AnnIndex<T> for HnswIndex<T> {
 
     /// Batched search: the cheap upper-layer descents run per query (the
     /// express lanes are tiny), then the bottom layer — where all the work
-    /// is — runs query-blocked with each query's own entry vertex.
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        self.search_batch_in(
-            queries,
-            params,
-            &crate::query::QueryEngine::with_block_size(block_size),
-        )
-    }
-
-    /// Serving path: same descend-then-block pipeline, run on the
-    /// caller's long-lived engine so its scratch pool persists across
-    /// dispatched batches.
+    /// is — runs on the engine with each query's own entry vertex.
     fn search_batch_in(
         &self,
         queries: &PointSet<T>,

@@ -416,26 +416,8 @@ impl<T: VectorElem + BinaryElem> AnnIndex<T> for PyNNDescentIndex<T> {
         self.points.dim()
     }
 
-    /// Query-blocked batched search from the shared entry sample.
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        crate::query::search_batch_graph(
-            queries,
-            &self.points,
-            self.metric,
-            &self.graph,
-            Starts::Shared(&self.starts),
-            params,
-            block_size,
-        )
-    }
-
-    /// Serving path: run on the caller's long-lived engine so its scratch
-    /// pool persists across dispatched batches.
+    /// Batched search on the engine's pooled per-query scratch
+    /// (bit-identical to per-query search).
     fn search_batch_in(
         &self,
         queries: &PointSet<T>,

@@ -2,15 +2,15 @@
 //!
 //! Turns the batch-oriented query engine of [`parlayann::QueryEngine`]
 //! into an online serving system, LANNS-style: many client threads submit
-//! *single* queries; a coalescer groups them into query blocks under a
-//! dual trigger — **block full** (batch bound reached) or **deadline**
-//! (the oldest waiting request's latency budget elapsed) — and a worker
-//! pool executes the blocks through the engine's query-blocked,
-//! scratch-pooled batch path.
+//! *single* queries; a coalescer groups them into batches under a dual
+//! trigger — **block full** (batch bound reached) or **deadline** (the
+//! oldest waiting request's latency budget elapsed) — and a worker pool
+//! executes the batches through the engine's batch-parallel path over
+//! pooled per-query scratch.
 //!
 //! The ParlayANN determinism guarantee is what makes this layer strictly
 //! testable: the engine's batched search is bit-identical to per-query
-//! search at any block size and thread count, so a served response is
+//! search at any batch size and thread count, so a served response is
 //! **bit-identical to a direct `search_batch`** of the same query no
 //! matter how requests happen to be coalesced under load. The stress
 //! tests assert exactly that.

@@ -46,15 +46,15 @@ pub mod metric_names {
     pub const DEADLINE_SLACK_NS: &str = "parlayann_serve_deadline_slack_ns";
 }
 
-/// Serving knobs. `Default` reads the same `PARLAYANN_BLOCK` knob as the
-/// query engine, so offline and online batch shapes agree out of the box.
+/// Serving knobs. The coalescer's batch bound is the server's own: the
+/// engine under it runs each query on its own whatever the batch size.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Search parameters shared by every request. A request's own `k` is
-    /// clamped to `params.k` (the block runs at the server's beam/k; the
+    /// clamped to `params.k` (the batch runs at the server's beam/k; the
     /// response is truncated per request).
     pub params: QueryParams,
-    /// Coalescer batch bound (the "block full" trigger).
+    /// Coalescer batch bound (the "block full" trigger); 16 by default.
     pub max_block: usize,
     /// Dispatch worker threads. Each worker runs whole batches through
     /// the engine (which is itself batch-parallel), so a handful
@@ -81,7 +81,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             params: QueryParams::default(),
-            max_block: parlayann::default_block().max(2),
+            max_block: 16,
             workers: 2,
             max_queue: 0,
             obs: None,
@@ -684,7 +684,7 @@ impl<T: VectorElem> Server<T> {
             .enabled()
             .then(|| ServeMetrics::register(obs_src.obs()));
         Arc::new(Shared {
-            engine: QueryEngine::with_block_size(config.max_block),
+            engine: QueryEngine::new(),
             index: Mutex::new(CurrentIndex {
                 index,
                 generation: 0,
@@ -1047,7 +1047,7 @@ fn run_worker<T: VectorElem>(shared: Arc<Shared<T>>, rx: Arc<Mutex<Receiver<Batc
     }
 }
 
-/// Runs one batch: assemble the padded query block from the requests'
+/// Runs one batch: assemble the padded query set from the requests'
 /// heterogeneous (individually-owned) vectors, execute it on the shared
 /// engine, route row `i` back to request `i`, and account.
 fn execute_batch<T: VectorElem>(

@@ -221,25 +221,6 @@ impl<T: VectorElem> AnnIndex<T> for FaultyIndex<T> {
         self.inner.search(query, params)
     }
 
-    fn search_batch(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        self.fault();
-        self.inner.search_batch(queries, params)
-    }
-
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        self.fault();
-        self.inner.search_batch_blocked(queries, params, block_size)
-    }
-
     fn search_batch_in(
         &self,
         queries: &PointSet<T>,

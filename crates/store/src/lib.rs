@@ -19,12 +19,10 @@
 //!   index files plus a versioned `MANIFEST` header (partitioner, per-
 //!   shard kind/len/checksum, id maps), layered on the single-index
 //!   format of `parlayann::io`. Corrupt members fail by name.
-//! * [`StoreHandle`] — live snapshot reload: the current [`Generation`]
-//!   behind an atomic swap; `reload(dir)` loads a new manifest off the
-//!   query path and swaps it in while in-flight work drains against the
-//!   old generation. `parlayann_serve::Server::reload` is the online
-//!   counterpart (generation-stamped responses, zero lost requests);
-//!   [`reload_server`] connects the two.
+//! * [`reload_server`] — live snapshot reload: loads a manifest off the
+//!   query path and hands it to `parlayann_serve::Server::reload`, which
+//!   swaps it in while in-flight work drains against the old generation
+//!   (generation-stamped responses, zero lost requests).
 //!
 //! Determinism is load-bearing throughout: a saved manifest reloads to
 //! an index that answers bit-identically, and the reload stress tests
@@ -38,7 +36,6 @@
 
 pub mod exact;
 pub mod fault;
-pub mod handle;
 pub mod manifest;
 pub mod partition;
 pub mod replica;
@@ -48,7 +45,6 @@ pub use exact::ExactIndex;
 pub use fault::{
     is_injected, silence_injected_panics, Fault, FaultPlan, FaultyIndex, InjectedFault,
 };
-pub use handle::{Generation, StoreHandle};
 pub use manifest::{
     bytes_checksum, file_checksum, load_manifest, save_manifest, shard_path, MANIFEST_FILE,
 };

@@ -40,8 +40,8 @@
 //! merged by the same k-way merge, which makes `p = N` **bitwise
 //! identical** to full fan-out (proptested, including the batch paths at
 //! 1 vs 8 threads). Batched searches route every query first, group the
-//! queries by target shard, and run one sub-batch per shard, so the
-//! query-blocked engine path survives routing. `nprobe = 0` (the
+//! queries by target shard, and run one sub-batch per shard, so each
+//! shard's batch-parallel engine path survives routing. `nprobe = 0` (the
 //! default), or a store without a codebook (hash-partitioned, or loaded
 //! from a pre-codebook manifest), fans out to every shard as before.
 //! [`range_search`](AnnIndex::range_search) always fans out fully:
@@ -542,8 +542,8 @@ impl<T: VectorElem> ShardedIndex<T> {
 
     /// Routed batch fan-out: every query is ranked against the codebook
     /// first, the queries targeting each shard are grouped into one
-    /// sub-batch per shard (so the shard's query-blocked path still sees
-    /// a batch), and each query merges the rows it contributed to its
+    /// sub-batch per shard (so the shard's batch path still sees a
+    /// batch), and each query merges the rows it contributed to its
     /// target shards. A shard every query targets receives the original
     /// query set — which is how `nprobe = N` runs byte-for-byte the same
     /// shard calls as full fan-out. Shards no query targets are not
@@ -740,31 +740,13 @@ impl<T: VectorElem> AnnIndex<T> for ShardedIndex<T> {
         self.dim
     }
 
-    /// Batched fan-out: without routing, each shard runs the whole query
-    /// set through its own (query-blocked, batch-parallel) path; with
-    /// routing, queries are routed first and grouped into per-shard
-    /// sub-batches ([`routed_batch`](Self::routed_batch)). Per-query
-    /// merges run in parallel either way.
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        if self.codebook.is_some() && self.routing.nprobe > 0 {
-            return self.routed_batch(queries, self.routing.nprobe, params.k, |idx, qs| {
-                idx.search_batch_blocked(qs, params, block_size)
-            });
-        }
-        let (per_shard, failovers) =
-            self.fan_out_batch(|idx| idx.search_batch_blocked(queries, params, block_size));
-        self.merge_batches(per_shard, failovers, queries.len(), params.k)
-    }
-
-    /// Serving path: the fan-out happens **inside** the dispatched batch,
-    /// every shard sharing the caller's long-lived engine (one scratch
-    /// pool across shards and batches). Routes per query before grouping,
-    /// like [`search_batch_blocked`](Self::search_batch_blocked).
+    /// Batched fan-out, the fan-out happening **inside** the batch: every
+    /// shard runs on the caller's engine (one scratch pool across shards
+    /// and batches). Without routing, each shard runs the whole query set
+    /// through its own batch-parallel path; with routing, queries are
+    /// routed first and grouped into per-shard sub-batches
+    /// ([`routed_batch`](Self::routed_batch)). Per-query merges run in
+    /// parallel either way.
     fn search_batch_in(
         &self,
         queries: &PointSet<T>,

@@ -8,7 +8,7 @@
 //!    search paths, and thread counts.
 //! 2. **Partial probes are deterministic** — `p < N` results are a pure
 //!    function of `(store, query, p)`, identical at 1 and 8 threads, on
-//!    the single-query, blocked-batch, and engine paths alike, and every
+//!    the single-query, default-batch, and engine paths alike, and every
 //!    reported id really lives in one of the `p` selected shards.
 //! 3. **The persisted codebook routes like the fresh one** — a store
 //!    round-tripped through the manifest makes identical routing
@@ -91,7 +91,7 @@ proptest! {
                     routed.search_batch(&d.queries, &params),
                 )
             });
-            assert_rows_bitwise(&a, &b, "blocked batch");
+            assert_rows_bitwise(&a, &b, "default batch");
 
             let engine = QueryEngine::new();
             let (a, b) = parlay::with_threads(threads, || {
@@ -143,7 +143,7 @@ proptest! {
 
         let engine = QueryEngine::new();
         let via_engine = store.search_batch_in(&d.queries, &params, &engine);
-        assert_rows_bitwise(&t1, &via_engine, "blocked vs engine");
+        assert_rows_bitwise(&t1, &via_engine, "default vs engine");
 
         for (q, t1_row) in t1.iter().enumerate() {
             let (res, stats) = store.search(d.queries.point(q), &params);

@@ -182,8 +182,8 @@ fn beam_search_byte_identical_across_1_4_8_threads() {
 
 #[test]
 fn batched_search_20_runs_at_8_threads_bit_identical() {
-    // The query-blocked engine under real stealing schedules: the same
-    // batch, 20 times, on 8 workers, through the trait's blocked path.
+    // The query engine under real stealing schedules: the same batch, 20
+    // times, on 8 workers, through the trait's batch path.
     // Every run sees different task placement and scratch reuse from the
     // pool; every (id, dist) sequence must be the same bits, and must
     // equal the strictly sequential per-query reference.
@@ -206,9 +206,7 @@ fn batched_search_20_runs_at_8_threads_bit_identical() {
         .collect();
     let baseline = digest(&solo);
     for run in 0..20 {
-        let fp = parlay::with_threads(8, || {
-            digest(&index.search_batch_blocked(&d.queries, &params, 16))
-        });
+        let fp = parlay::with_threads(8, || digest(&index.search_batch(&d.queries, &params)));
         assert_eq!(
             fp, baseline,
             "run {run} diverged from the sequential reference"

@@ -1,12 +1,12 @@
 //! The unified query engine's headline contract: `search_batch` is
 //! **bit-identical** to one-at-a-time `search` for every index family, at
-//! every block size and every thread count. Blocking and scratch reuse
+//! every engine grain and every thread count. Chunking and scratch reuse
 //! may only change execution layout, never results.
 
 use parlayann_suite::baselines::{IvfIndex, IvfParams, PqVamanaIndex, PqVamanaParams};
 use parlayann_suite::core::{
     AnnIndex, HcnngIndex, HcnngParams, HnswIndex, HnswParams, PyNNDescentIndex, PyNNDescentParams,
-    QueryParams, StatsMode, VamanaIndex, VamanaParams,
+    QueryEngine, QueryParams, StatsMode, VamanaIndex, VamanaParams,
 };
 use parlayann_suite::data::{bigann_like, Dataset, PointSet};
 use proptest::prelude::*;
@@ -107,7 +107,7 @@ proptest! {
 
     #[test]
     fn search_batch_bit_identical_to_single_search_all_families(
-        block in 1usize..=64,
+        grain in 1usize..=64,
         threads in 1usize..=8,
         beam in 8usize..=48,
         k in 1usize..=10,
@@ -129,14 +129,15 @@ proptest! {
                     .map(|q| index.search(queries.point(q), &params))
                     .collect(),
             );
-            // Batched, at the sampled block size and thread count.
+            // Batched, at the sampled engine grain and thread count.
+            let engine = QueryEngine::with_block_size(grain);
             let batched: Observed = parlay::with_threads(threads, || {
-                observe(index.search_batch_blocked(&queries, &params, block))
+                observe(index.search_batch_in(&queries, &params, &engine))
             });
             prop_assert_eq!(
                 &batched, &solo,
-                "{} diverged at block={} threads={} beam={} k={}",
-                name, block, threads, beam, k
+                "{} diverged at grain={} threads={} beam={} k={}",
+                name, grain, threads, beam, k
             );
         }
     }
@@ -144,8 +145,8 @@ proptest! {
 
 #[test]
 fn stats_off_results_match_counters_on() {
-    // StatsMode::Off must zero the counters without perturbing results, on
-    // both the solo and the blocked path.
+    // StatsMode::Off must zero the counters without perturbing results on
+    // the batch path.
     let f = fixtures();
     let on = QueryParams {
         beam: 32,
@@ -160,8 +161,8 @@ fn stats_off_results_match_counters_on() {
         // are not the hot path this knob exists for); only require result
         // equality there.
         let gated = matches!(*name, "vamana" | "hnsw" | "hcnng" | "pynndescent");
-        let a = index.search_batch_blocked(&f.data.queries, &on, 8);
-        let b = index.search_batch_blocked(&f.data.queries, &off, 8);
+        let a = index.search_batch(&f.data.queries, &on);
+        let b = index.search_batch(&f.data.queries, &off);
         for ((ra, sa), (rb, sb)) in a.iter().zip(&b) {
             assert_eq!(ra, rb, "{name}: results changed with stats off");
             assert!(sa.dist_comps > 0, "{name}: counters missing with stats on");

@@ -5,7 +5,7 @@
 //!
 //! ParlayANN's determinism guarantee is what makes this assertable: the
 //! engine's batched search is bit-identical to per-query search at any
-//! block size and thread count, so whatever batches the server happens
+//! batch size and thread count, so whatever batches the server happens
 //! to form under racing clients, response `i` must equal reference row
 //! `i` bit for bit. The CI `serve-smoke` job runs this at
 //! `PARLAY_NUM_THREADS=1` and `=8`.
